@@ -1,37 +1,32 @@
-//! Experiment E16 — pipelined framing + the cross-request batch scheduler.
+//! Experiment E16 — what client pipelining and the crypto caches buy.
 //!
-//! Boots one shared kgc + store and TWO proxy nodes against the same store:
+//! Boots one kgc + store + proxy and runs a 2×2 ablation against that one
+//! proxy: the bit-identical crypto caches (the `G1` validation memo and the
+//! delegatee mask cache) off / on, times a client pipeline depth of 1
+//! (lockstep request/response) / `TIBPRE_E16_PIPELINE`.  The arm with
+//! caches off and lockstep clients pays the full per-request cost (one
+//! round trip and a fresh validation per disclosure) and is the baseline
+//! every other arm is measured against.
 //!
-//! * **plain** — `batch_max = 1`, the scheduler fully disabled: every
-//!   request is handled inline on its connection thread.  For the
-//!   throughput baseline the bit-identical crypto caches (the `G1`
-//!   validation memo and the delegatee mask cache) are switched **off**,
-//!   reproducing the pre-scheduler (PR-7) per-request cost path;
-//! * **batched** — the full fast path: the scheduler on, draining up to
-//!   `batch_max` disclosures per tick across all connections into one
-//!   engine batch, with the caches on.
-//!
-//! Both proxies hold the *same* installed re-encryption keys, and TIB-PRE
-//! disclosure is deterministic, so before any timing the harness asserts
-//! the batched proxy's pipelined cached responses are **byte-identical**
-//! to the plain proxy's sequential *uncached* ones — which simultaneously
-//! proves the scheduler and the caches change no output.  Then it measures
-//! closed-loop requests/second under pipelined multi-client load on each,
-//! and finally re-measures a single lockstep client against both proxies
-//! with caches on to prove the adaptive drain window keeps idle latency
-//! flat (that comparison isolates the scheduler, so both idle arms run the
-//! same validation config).
+//! Before any timing the harness asserts that pipelined responses with the
+//! caches on are **byte-identical** to lockstep responses with the caches
+//! off (TIB-PRE disclosure is deterministic), which proves neither
+//! mechanism changes any output.  Then it measures closed-loop
+//! requests/second for every arm under the same multi-client load, and
+//! finally checks idle latency: one client, caches on, alternating
+//! lockstep `call`s with 1-deep `call_pipelined`s, so a pipelining client
+//! never pays for the mode it does not use.
 //!
 //! Scale knobs: `TIBPRE_E16_CLIENTS`, `TIBPRE_E16_REQUESTS`,
-//! `TIBPRE_E16_PIPELINE`, `TIBPRE_E16_BATCH_MAX`,
-//! `TIBPRE_E16_IDLE_REQUESTS`.  Gate knobs (for noisy CI runners):
-//! `TIBPRE_E16_MIN_SPEEDUP`, `TIBPRE_E16_IDLE_SLACK`.
+//! `TIBPRE_E16_PIPELINE`, `TIBPRE_E16_IDLE_REQUESTS`.  Gate knobs (for
+//! noisy CI runners): `TIBPRE_E16_MIN_SPEEDUP`, `TIBPRE_E16_IDLE_SLACK`.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::time::Instant;
 use tibpre_client::{
     params_for_level, ClientConfig, Connection, KgcClient, NodeRole, ProxyClient, Request,
-    StoreClient,
+    Response, StoreClient,
 };
 use tibpre_core::Delegator;
 use tibpre_ibe::Identity;
@@ -55,18 +50,9 @@ fn env_f64(name: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-/// Proves the batched path is an optimization, not a behaviour change: the
-/// same disclosure sequence, pipelined through the scheduler-enabled proxy,
-/// must produce response frames byte-identical to the plain proxy answering
-/// one request at a time.  Both proxies share the store and the installed
-/// re-encryption key, and disclosure is deterministic, so any divergence is
-/// a bug in the batch path.
-fn assert_bit_identical(
-    kgc: &NodeHandle,
-    store: &NodeHandle,
-    plain: &NodeHandle,
-    batched: &NodeHandle,
-) {
+/// Uploads 8 records for one patient, installs one grant, and returns the
+/// disclosure requests for them.
+fn check_requests(kgc: &NodeHandle, store: &NodeHandle, proxy: &NodeHandle) -> Vec<Request> {
     let params = params_for_level(SecurityLevel::Toy);
     let config = ClientConfig::default();
     let mut kgc_client = KgcClient::connect(kgc.addr(), &params, &config).unwrap();
@@ -92,43 +78,37 @@ fn assert_bit_identical(
             requester: provider.clone(),
         });
     }
-    // ONE key, installed on BOTH proxies — the precondition for comparing
-    // their outputs at all.
     let key = delegator
         .make_reencryption_key(&provider, &domain, &category.type_tag(), &mut rng)
         .unwrap();
-    for proxy in [plain, batched] {
-        let mut client = ProxyClient::connect(proxy.addr(), &params, &config).unwrap();
-        client.install_key(key.clone()).unwrap();
-    }
+    let mut proxy_client = ProxyClient::connect(proxy.addr(), &params, &config).unwrap();
+    proxy_client.install_key(key).unwrap();
+    requests
+}
 
-    // Oracle: one-at-a-time, caches off — the PR-7 cost path exactly.
-    // Probe: pipelined through the scheduler with caches on.  Byte equality
-    // proves neither the batch path nor the caches change any output.
+/// Proves pipelining and the caches are optimizations, not behaviour
+/// changes: the same disclosures, pipelined with caches on, must produce
+/// response frames byte-identical to lockstep calls with caches off.
+fn assert_bit_identical(proxy: &NodeHandle, requests: &[Request]) {
+    let params = params_for_level(SecurityLevel::Toy);
+    let mut conn = Connection::connect(proxy.addr(), &params, &ClientConfig::default()).unwrap();
     tibpre_pairing::set_crypto_caches_enabled(false);
-    let mut plain_conn = Connection::connect(plain.addr(), &params, &config).unwrap();
     let oracle: Vec<Vec<u8>> = requests
         .iter()
-        .map(|request| {
-            plain_conn
-                .call_pipelined(std::slice::from_ref(request))
-                .unwrap()[0]
-                .to_wire_bytes()
-        })
+        .map(|request| conn.call(request).unwrap().to_wire_bytes())
         .collect();
     tibpre_pairing::set_crypto_caches_enabled(true);
-    let mut batched_conn = Connection::connect(batched.addr(), &params, &config).unwrap();
-    let piped = batched_conn.call_pipelined(&requests).unwrap();
+    let piped = conn.call_pipelined(requests).unwrap();
     assert_eq!(piped.len(), oracle.len());
     for (i, (response, want)) in piped.iter().zip(&oracle).enumerate() {
         assert_eq!(
             &response.to_wire_bytes(),
             want,
-            "batched+cached response {i} is not bit-identical to the uncached \
-             one-at-a-time path"
+            "pipelined+cached response {i} is not bit-identical to the uncached \
+             lockstep path"
         );
     }
-    eprintln!("e16: batched+cached responses bit-identical to the uncached one-at-a-time path");
+    eprintln!("e16: pipelined+cached responses bit-identical to the uncached lockstep path");
 }
 
 fn drive(
@@ -147,8 +127,7 @@ fn drive(
         clients,
         requests,
         pipeline,
-        // Churn off: E16 isolates the protocol/batching win, and the two
-        // arms must serve identical traffic.
+        // Churn off: every arm must serve identical traffic.
         churn_every: 0,
         ..LoadConfig::default()
     };
@@ -175,122 +154,143 @@ fn drive(
     report
 }
 
+/// One idle client, caches on: `rounds` disclosures as lockstep `call`s
+/// and `rounds` as 1-deep `call_pipelined`s, alternating on one connection
+/// so host drift hits both modes alike.  Returns the two p50s in µs.
+fn idle_p50s(proxy: &NodeHandle, requests: &[Request], rounds: usize) -> (u64, u64) {
+    let params = params_for_level(SecurityLevel::Toy);
+    let mut conn = Connection::connect(proxy.addr(), &params, &ClientConfig::default()).unwrap();
+    let mut lockstep = Vec::with_capacity(rounds);
+    let mut pipelined = Vec::with_capacity(rounds);
+    for i in 0..2 * rounds {
+        let request = &requests[i % requests.len()];
+        let begin = Instant::now();
+        let response = if i % 2 == 0 {
+            conn.call(request).unwrap()
+        } else {
+            conn.call_pipelined(std::slice::from_ref(request))
+                .unwrap()
+                .remove(0)
+        };
+        let us = begin.elapsed().as_micros() as u64;
+        assert!(
+            matches!(response, Response::Bundle(_)),
+            "idle disclosure failed"
+        );
+        if i % 2 == 0 {
+            lockstep.push(us);
+        } else {
+            pipelined.push(us);
+        }
+    }
+    let p50 = |mut samples: Vec<u64>| {
+        samples.sort_unstable();
+        samples[samples.len() / 2]
+    };
+    (p50(lockstep), p50(pipelined))
+}
+
 fn main() {
     let clients = env_usize("TIBPRE_E16_CLIENTS", 8);
     let requests = env_usize("TIBPRE_E16_REQUESTS", 1600) as u64;
     let pipeline = env_usize("TIBPRE_E16_PIPELINE", 8);
-    let batch_max = env_usize("TIBPRE_E16_BATCH_MAX", 16);
-    let idle_requests = env_usize("TIBPRE_E16_IDLE_REQUESTS", 300) as u64;
+    let idle_requests = env_usize("TIBPRE_E16_IDLE_REQUESTS", 300).max(1);
     // The acceptance gates.  CI smoke runs relax them (shared multi-core
-    // runners are noisy and parallelise the one-at-a-time arm); the
-    // committed BENCH_e16.json carries the acceptance-grade defaults.
+    // runners are noisy); the committed BENCH_e16.json carries the
+    // acceptance-grade defaults.
     let min_speedup = env_f64("TIBPRE_E16_MIN_SPEEDUP", 1.3);
     let idle_slack = env_f64("TIBPRE_E16_IDLE_SLACK", 1.10);
 
     let kgc = node::start(NodeConfig::new(NodeRole::Kgc)).expect("kgc node");
     let store = node::start(NodeConfig::new(NodeRole::Store)).expect("store node");
-    let mut plain_config = NodeConfig::new(NodeRole::Proxy);
-    plain_config.store_addr = Some(store.addr().to_string());
-    plain_config.batch_max = 1; // scheduler off: the PR-7 one-at-a-time path
-    let plain = node::start(plain_config).expect("plain proxy");
-    let mut batched_config = NodeConfig::new(NodeRole::Proxy);
-    batched_config.store_addr = Some(store.addr().to_string());
-    batched_config.batch_max = batch_max;
-    let batched = node::start(batched_config).expect("batched proxy");
+    let mut proxy_config = NodeConfig::new(NodeRole::Proxy);
+    proxy_config.store_addr = Some(store.addr().to_string());
+    let proxy = node::start(proxy_config).expect("proxy node");
     eprintln!(
-        "e16: kgc {} / store {} / plain proxy {} / batched proxy {} \
-         (batch_max {batch_max})",
+        "e16: kgc {} / store {} / proxy {}",
         kgc.addr(),
         store.addr(),
-        plain.addr(),
-        batched.addr()
+        proxy.addr()
     );
 
     // Correctness before any timing.
-    assert_bit_identical(&kgc, &store, &plain, &batched);
+    let check = check_requests(&kgc, &store, &proxy);
+    assert_bit_identical(&proxy, &check);
 
-    // Throughput: the same multi-client load on each arm.  The baseline arm
-    // is the PR-7 configuration end to end — one request per round trip AND
-    // the per-request validation cost path (caches off); the batched arm is
-    // this PR's full fast path.
-    eprintln!("e16: {clients} clients x {requests} requests, pipeline {pipeline}");
-    tibpre_pairing::set_crypto_caches_enabled(false);
-    let base = drive("plain", &kgc, &store, &plain, clients, requests, 1);
+    // Throughput: the same multi-client load on every arm.
+    eprintln!("e16: {clients} clients x {requests} requests, pipeline 1 and {pipeline}");
+    let mut arms = Vec::new();
+    for caches in [false, true] {
+        tibpre_pairing::set_crypto_caches_enabled(caches);
+        for depth in [1, pipeline] {
+            let label = format!(
+                "caches-{}-pipeline-{depth}",
+                if caches { "on" } else { "off" }
+            );
+            let report = drive(&label, &kgc, &store, &proxy, clients, requests, depth);
+            arms.push((caches, depth, report));
+        }
+    }
     tibpre_pairing::set_crypto_caches_enabled(true);
-    let coal = drive(
-        "batched", &kgc, &store, &batched, clients, requests, pipeline,
-    );
-    let speedup = coal.req_per_sec / base.req_per_sec.max(1e-9);
+    let base = arms[0].2.req_per_sec.max(1e-9);
+    let fast = &arms[3].2;
+    let speedup = fast.req_per_sec / base;
 
-    // Idle-latency guard: one lockstep client must not pay for the
-    // scheduler it does not need (the adaptive window dispatches a lone
-    // request immediately).  Caches stay on in BOTH idle arms so the
-    // comparison isolates the scheduler alone.
-    let idle_base = drive("idle-plain", &kgc, &store, &plain, 1, idle_requests, 1);
-    let idle_coal = drive("idle-batched", &kgc, &store, &batched, 1, idle_requests, 1);
-
-    let sched = coal.sched.clone().unwrap_or_default();
+    // Idle latency, caches on.
+    let (idle_lockstep, idle_pipelined) = idle_p50s(&proxy, &check, idle_requests);
     eprintln!(
-        "e16: speedup {speedup:.2}x ({:.0} → {:.0} req/s); idle p50 {}us → {}us; \
-         scheduler ran {} batches over {} requests, histogram {:?}",
-        base.req_per_sec,
-        coal.req_per_sec,
-        idle_base.p50_us,
-        idle_coal.p50_us,
-        sched.batches,
-        sched.batched_requests,
-        sched.hist,
+        "e16: speedup {speedup:.2}x ({:.0} → {:.0} req/s); idle p50 lockstep {idle_lockstep}us, \
+         pipelined {idle_pipelined}us",
+        arms[0].2.req_per_sec, fast.req_per_sec,
     );
 
-    for handle in [batched, plain, store, kgc] {
+    for handle in [proxy, store, kgc] {
         handle.shutdown();
         handle.wait();
     }
 
+    let arm_rows: Vec<String> = arms
+        .iter()
+        .map(|(caches, depth, report)| {
+            format!(
+                "    {{\"caches\": {caches}, \"pipeline\": {depth}, \"req_per_sec\": {:.1}, \
+                 \"speedup\": {:.3}, \"p50_us\": {}, \"p99_us\": {}}}",
+                report.req_per_sec,
+                report.req_per_sec / base,
+                report.p50_us,
+                report.p99_us,
+            )
+        })
+        .collect();
     let json = format!(
         concat!(
             "{{\n",
             "  \"experiment\": \"e16_coalesce\",\n",
             "  \"level\": \"toy\",\n",
+            "  \"nproc\": {},\n",
             "  \"clients\": {},\n",
             "  \"requests\": {},\n",
             "  \"pipeline\": {},\n",
-            "  \"batch_max\": {},\n",
             "  \"bit_identical\": true,\n",
-            "  \"baseline_arm\": \"pr7 path: one-at-a-time, crypto caches off\",\n",
-            "  \"batched_arm\": \"scheduler + pipelining, crypto caches on\",\n",
-            "  \"baseline_req_per_sec\": {:.1},\n",
-            "  \"batched_req_per_sec\": {:.1},\n",
+            "  \"baseline_arm\": \"caches off, pipeline 1\",\n",
+            "  \"arms\": [\n{}\n  ],\n",
             "  \"speedup\": {:.3},\n",
-            "  \"baseline_p50_us\": {},\n",
-            "  \"batched_p50_us\": {},\n",
-            "  \"idle_baseline_p50_us\": {},\n",
-            "  \"idle_batched_p50_us\": {},\n",
+            "  \"idle_lockstep_p50_us\": {},\n",
+            "  \"idle_pipelined_p50_us\": {},\n",
             "  \"errors\": {},\n",
-            "  \"reordered\": {},\n",
-            "  \"sched_batches\": {},\n",
-            "  \"sched_batched_requests\": {},\n",
-            "  \"sched_bypass\": {},\n",
-            "  \"sched_hist\": {:?}\n",
+            "  \"reordered\": {}\n",
             "}}\n"
         ),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         clients,
         requests,
         pipeline,
-        batch_max,
-        base.req_per_sec,
-        coal.req_per_sec,
+        arm_rows.join(",\n"),
         speedup,
-        base.p50_us,
-        coal.p50_us,
-        idle_base.p50_us,
-        idle_coal.p50_us,
-        base.errors + coal.errors + idle_base.errors + idle_coal.errors,
-        base.reordered + coal.reordered + idle_base.reordered + idle_coal.reordered,
-        sched.batches,
-        sched.batched_requests,
-        sched.bypass,
-        sched.hist,
+        idle_lockstep,
+        idle_pipelined,
+        arms.iter().map(|(_, _, r)| r.errors).sum::<u64>(),
+        arms.iter().map(|(_, _, r)| r.reordered).sum::<u64>(),
     );
     print!("{json}");
 
@@ -302,16 +302,14 @@ fn main() {
     // Acceptance gates.
     assert!(
         speedup >= min_speedup,
-        "batched throughput {:.1} req/s is only {speedup:.2}x the one-at-a-time \
-         path's {:.1} req/s (gate: {min_speedup}x)",
-        coal.req_per_sec,
-        base.req_per_sec
+        "pipelined+cached throughput {:.1} req/s is only {speedup:.2}x the uncached \
+         lockstep baseline's {:.1} req/s (gate: {min_speedup}x)",
+        fast.req_per_sec,
+        arms[0].2.req_per_sec
     );
     assert!(
-        idle_coal.p50_us as f64 <= idle_base.p50_us as f64 * idle_slack,
-        "single-client p50 {}us on the batched proxy exceeds the one-at-a-time \
-         path's {}us by more than the {idle_slack}x allowance",
-        idle_coal.p50_us,
-        idle_base.p50_us
+        idle_pipelined as f64 <= idle_lockstep as f64 * idle_slack,
+        "single-client p50 {idle_pipelined}us through 1-deep call_pipelined exceeds \
+         lockstep call's {idle_lockstep}us by more than the {idle_slack}x allowance"
     );
 }

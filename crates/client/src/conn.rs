@@ -98,8 +98,8 @@ impl Default for ClientConfig {
 ///   [`Self::receive`] each response in order.  [`Self::call_pipelined`]
 ///   packages the common burst shape.
 ///
-/// Responses are matched to requests purely by order — the invariant the
-/// server's scheduler preserves per connection.  Additional concurrency
+/// Responses are matched to requests purely by order — the node handles a
+/// connection's requests one at a time, in the order they arrive.  Additional concurrency
 /// comes from opening more connections (see [`crate::RemoteStore`]'s pool).
 pub struct Connection {
     reader: BufReader<TcpStream>,

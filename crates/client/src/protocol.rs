@@ -236,8 +236,9 @@ pub enum Request {
     /// (Store) Promote a replica: stop rejecting writes with `WrongRole`.
     /// A no-op on a node that already accepts writes.
     Promote,
-    /// Batch-scheduler counters (every role answers; the counters are
-    /// process-global, so a node without a scheduler reports zeros).
+    /// Batch-scheduler counters.  Every role answers with an all-zero
+    /// report, since no node batches requests across connections; the
+    /// request stays on the wire for clients that read it.
     SchedStats,
 }
 
@@ -702,12 +703,13 @@ impl WireDecode for RemoteError {
     }
 }
 
-/// Process-global batch-scheduler counters, answered by `SchedStats`.
+/// Batch-scheduler counters, answered by `SchedStats`.
 ///
 /// The histogram buckets batch sizes as
-/// `1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+` (index 0 through 7).  All
-/// counters are cumulative since node start; a node running without a
-/// scheduler reports zeros.
+/// `1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+` (index 0 through 7).  A node
+/// without a scheduler reports zeros, and no node runs one: each request
+/// is handled on the connection thread that read it, so every report is
+/// all zeros.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedStatsReport {
     /// Batches executed by the scheduler.
@@ -825,7 +827,7 @@ pub enum Response {
         /// The raw log bytes (never empty).
         bytes: Vec<u8>,
     },
-    /// Batch-scheduler counters, answering `SchedStats`.
+    /// Batch-scheduler counters, answering `SchedStats` (all zeros).
     SchedStats(SchedStatsReport),
 }
 

@@ -243,7 +243,8 @@ impl ProxyClient {
 
     /// Issues one disclosure per `(patient, id, requester)` triple as a
     /// single pipelined run: every request is written before the first
-    /// response is read, so the node's batch scheduler can coalesce them.
+    /// response is read, so the run pays one round trip instead of one
+    /// per request.
     /// Responses come back in request order; per-item policy denials are
     /// values in the returned vector, while a transport failure aborts the
     /// whole run (the connection is no longer usable mid-pipeline).
@@ -270,8 +271,9 @@ impl ProxyClient {
             .collect()
     }
 
-    /// The node's batch-scheduler counters (process-global; zeros on a node
-    /// that never ran a scheduler).
+    /// The node's batch-scheduler counters.  No node batches requests
+    /// across connections any more, so every node answers with an
+    /// all-zero report; the call is kept for clients that still read it.
     pub fn sched_stats(&mut self) -> Result<SchedStatsReport> {
         match self.conn.call(&Request::SchedStats)? {
             Response::SchedStats(report) => Ok(report),
@@ -344,25 +346,11 @@ impl RemoteStore {
         self.pool[i].lock().call(request)
     }
 
-    /// Sends a run of requests down ONE pooled connection pipelined: all
-    /// frames in one flush, all responses read back in order.
-    fn call_pipelined(&self, requests: &[Request]) -> Result<Vec<Response>> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.pool.len();
-        self.pool[i].lock().call_pipelined(requests)
-    }
-
     fn phr_call(&self, request: &Request) -> tibpre_phr::Result<Response> {
         self.call(request).map_err(|e| match e {
             ClientError::Remote(remote) => remote.into_phr(),
             other => tibpre_phr::PhrError::Storage(other.to_string()),
         })
-    }
-}
-
-fn transport_err(e: ClientError) -> tibpre_phr::PhrError {
-    match e {
-        ClientError::Remote(remote) => remote.into_phr(),
-        other => tibpre_phr::PhrError::Storage(other.to_string()),
     }
 }
 
@@ -406,34 +394,6 @@ impl RecordSource for RemoteStore {
         }
     }
 
-    fn get_many(&self, ids: &[RecordId]) -> Vec<tibpre_phr::Result<Arc<StoredRecord>>> {
-        if ids.len() <= 1 {
-            return ids.iter().map(|id| self.get(*id)).collect();
-        }
-        let requests: Vec<Request> = ids
-            .iter()
-            .map(|id| Request::GetRecord { id: *id })
-            .collect();
-        match self.call_pipelined(&requests) {
-            Ok(responses) => responses
-                .into_iter()
-                .map(|response| match response {
-                    Response::Record(record) => Ok(Arc::new(*record)),
-                    Response::Error(err) => Err(err.into_phr()),
-                    _ => Err(tibpre_phr::PhrError::Storage(
-                        "store node answered GetRecord with the wrong variant".into(),
-                    )),
-                })
-                .collect(),
-            // A transport failure tears the whole pipelined run: every id
-            // in the batch gets the same error.
-            Err(e) => {
-                let err = transport_err(e);
-                ids.iter().map(|_| Err(err.clone())).collect()
-            }
-        }
-    }
-
     fn log_disclosure(&self, id: RecordId, requester: &Identity, granted: bool) {
         // Best-effort: the proxy keeps its own durable audit trail, and a
         // disclosure must not fail because the store's trail was
@@ -443,20 +403,6 @@ impl RecordSource for RemoteStore {
             requester: requester.clone(),
             granted,
         });
-    }
-
-    fn log_disclosures(&self, entries: &[(RecordId, Identity, bool)]) {
-        // Best-effort like the single form, but one pipelined run instead
-        // of a round trip per entry.
-        let requests: Vec<Request> = entries
-            .iter()
-            .map(|(id, requester, granted)| Request::LogDisclosure {
-                id: *id,
-                requester: requester.clone(),
-                granted: *granted,
-            })
-            .collect();
-        let _ = self.call_pipelined(&requests);
     }
 
     fn log_policy_change(

@@ -22,7 +22,6 @@ use crate::category::Category;
 use crate::durable::{self, Durability, ProxyWalOp};
 use crate::record::RecordId;
 use crate::source::RecordSource;
-use crate::store::StoredRecord;
 use crate::{PhrError, Result};
 use parking_lot::Mutex;
 use std::path::Path;
@@ -355,207 +354,6 @@ impl ProxyService {
             title: stored.title.clone(),
             ciphertext,
         })
-    }
-
-    /// Handles a run of *independent* disclosure requests as one batch —
-    /// the seam the server's cross-request scheduler feeds.  Per item the
-    /// observable behaviour (result value, proxy audit events, store-side
-    /// log entries, and their order) is exactly that of calling
-    /// [`Self::disclose`] sequentially in input order; what the batch
-    /// buys is amortization:
-    ///
-    /// * all records are fetched through one [`RecordSource::get_many`]
-    ///   call (a remote store answers the whole run pipelined),
-    /// * conversions sharing a re-encryption key run through the engine's
-    ///   batched path (shared pairing precomputation, bit-identical
-    ///   output),
-    /// * the audit writes are group-committed: one WAL commit and one
-    ///   batched store-side log run for the whole batch.
-    ///
-    /// The result vector has exactly one entry per input, in input order.
-    pub fn disclose_batch(
-        &self,
-        items: &[(Identity, RecordId, Identity)],
-    ) -> Vec<Result<DisclosureBundle>> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        if items.len() == 1 {
-            let (patient, id, requester) = &items[0];
-            return vec![self.disclose(patient, *id, requester)];
-        }
-        let ids: Vec<RecordId> = items.iter().map(|(_, id, _)| *id).collect();
-        let fetched = self.store.get_many(&ids);
-
-        /// What each item owes the audit trails, mirroring the branches of
-        /// [`ProxyService::disclose`].
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mark {
-            /// Nothing logged (the record fetch itself failed).
-            Silent,
-            /// Store-side log only (patient mismatch logs no proxy event).
-            StoreOnly,
-            /// Proxy audit denial + store-side log.
-            Denied,
-            /// Proxy audit success + store-side log.
-            Granted,
-        }
-
-        let mut results: Vec<Option<Result<DisclosureBundle>>> = vec![None; items.len()];
-        let mut marks = vec![Mark::Silent; items.len()];
-        // Items that resolved a key, grouped for batched conversion.  The
-        // same (patient, type, requester) triple resolves to the same key
-        // object, so pointer identity is the group key.
-        #[allow(clippy::type_complexity)]
-        let mut groups: Vec<(&ReEncryptionKey, Vec<(usize, Arc<StoredRecord>)>)> = Vec::new();
-
-        for (i, ((patient, _, requester), fetched)) in items.iter().zip(fetched).enumerate() {
-            let stored = match fetched {
-                Ok(stored) => stored,
-                Err(e) => {
-                    results[i] = Some(Err(e));
-                    continue;
-                }
-            };
-            if &stored.patient != patient {
-                marks[i] = Mark::StoreOnly;
-                results[i] = Some(Err(PhrError::RecordNotFound));
-                continue;
-            }
-            match self
-                .proxy
-                .key_for(patient, &stored.category.type_tag(), requester)
-            {
-                Some(key) => match groups.iter_mut().find(|(k, _)| core::ptr::eq(*k, key)) {
-                    Some((_, members)) => members.push((i, stored)),
-                    None => groups.push((key, vec![(i, stored)])),
-                },
-                None => {
-                    marks[i] = Mark::Denied;
-                    results[i] = Some(Err(PhrError::AccessDenied {
-                        category: stored.category.label(),
-                        requester: requester.display(),
-                    }));
-                }
-            }
-        }
-
-        for (key, members) in groups {
-            // The batch APIs fail atomically on the first mismatched type;
-            // the per-item contract is a per-item error.  Screen mismatched
-            // headers onto the single-record path so only clean members
-            // share the batch call.
-            let (clean, mismatched): (Vec<_>, Vec<_>) = members
-                .into_iter()
-                .partition(|(_, stored)| stored.ciphertext.type_tag() == key.type_tag());
-            let mut convert_one = |i: usize, stored: &StoredRecord| match hybrid::re_encrypt_hybrid(
-                &stored.ciphertext,
-                key,
-            ) {
-                Ok(ciphertext) => {
-                    marks[i] = Mark::Granted;
-                    results[i] = Some(Ok(DisclosureBundle {
-                        id: stored.id,
-                        patient: stored.patient.clone(),
-                        category: stored.category.clone(),
-                        title: stored.title.clone(),
-                        ciphertext,
-                    }));
-                }
-                Err(e) => {
-                    marks[i] = Mark::Denied;
-                    results[i] = Some(Err(PhrError::Pre(e)));
-                }
-            };
-            for (i, stored) in &mismatched {
-                convert_one(*i, stored);
-            }
-            if clean.is_empty() {
-                continue;
-            }
-            match self
-                .engine
-                .re_encrypt_hybrid_batch(clean.iter().map(|(_, s)| &s.ciphertext), key)
-            {
-                Ok(converted) => {
-                    for ((i, stored), ciphertext) in clean.iter().zip(converted) {
-                        marks[*i] = Mark::Granted;
-                        results[*i] = Some(Ok(DisclosureBundle {
-                            id: stored.id,
-                            patient: stored.patient.clone(),
-                            category: stored.category.clone(),
-                            title: stored.title.clone(),
-                            ciphertext,
-                        }));
-                    }
-                }
-                Err(_) => {
-                    // Screening should make a failing batch unreachable;
-                    // fall back to per-item conversion so the batch path
-                    // can never change observable semantics.
-                    for (i, stored) in &clean {
-                        convert_one(*i, stored);
-                    }
-                }
-            }
-        }
-
-        // One audit pass in input order: a single audit lock, a single WAL
-        // group commit, and a single batched store-side log run, producing
-        // exactly the events a sequential run would have.
-        let mut store_entries: Vec<(RecordId, Identity, bool)> = Vec::new();
-        {
-            let mut audit = self.audit.lock();
-            let mut frames = Vec::new();
-            let mut events = Vec::new();
-            for ((_, id, requester), mark) in items.iter().zip(&marks) {
-                match mark {
-                    Mark::Silent => {}
-                    Mark::StoreOnly => store_entries.push((*id, requester.clone(), false)),
-                    Mark::Denied | Mark::Granted => {
-                        let granted = *mark == Mark::Granted;
-                        let at = audit.tick();
-                        let event = if granted {
-                            AuditEvent::DisclosurePerformed {
-                                id: *id,
-                                requester: requester.clone(),
-                                at,
-                            }
-                        } else {
-                            AuditEvent::DisclosureDenied {
-                                id: *id,
-                                requester: requester.clone(),
-                                at,
-                            }
-                        };
-                        if self.wal.is_some() {
-                            frames.push(
-                                ProxyWalOp::Audit {
-                                    event: event.clone(),
-                                }
-                                .to_bytes(),
-                            );
-                        }
-                        events.push(event);
-                        store_entries.push((*id, requester.clone(), granted));
-                    }
-                }
-            }
-            if !frames.is_empty() {
-                self.persist(&frames);
-            }
-            for event in events {
-                audit.append(event);
-            }
-        }
-        if !store_entries.is_empty() {
-            self.store.log_disclosures(&store_entries);
-        }
-
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch item resolved to a result"))
-            .collect()
     }
 
     /// Discloses every record of one category the requester is entitled to.

@@ -35,26 +35,9 @@ pub trait RecordSource: Send + Sync {
         category: &Category,
     ) -> Result<Vec<RecordId>>;
 
-    /// Fetches a run of records by id, one result per input id in input
-    /// order.  The default loops over [`RecordSource::get`]; a remote
-    /// source overrides this to pipeline the whole run over one
-    /// connection instead of paying a round trip per id.
-    fn get_many(&self, ids: &[RecordId]) -> Vec<Result<Arc<StoredRecord>>> {
-        ids.iter().map(|id| self.get(*id)).collect()
-    }
-
     /// Records a disclosure attempt in the source's audit trail
     /// (best-effort).
     fn log_disclosure(&self, id: RecordId, requester: &Identity, granted: bool);
-
-    /// Records a run of disclosure attempts (best-effort), the batched
-    /// form of [`RecordSource::log_disclosure`].  The default loops; a
-    /// remote source overrides this to pipeline the run.
-    fn log_disclosures(&self, entries: &[(RecordId, Identity, bool)]) {
-        for (id, requester, granted) in entries {
-            self.log_disclosure(*id, requester, *granted);
-        }
-    }
 
     /// Records a policy change in the source's audit trail (best-effort).
     fn log_policy_change(

@@ -87,7 +87,7 @@ use tibpre_engine::ReEncryptEngine;
 use tibpre_ibe::Identity;
 use tibpre_pairing::{DecodeCtx, PairingParams};
 use tibpre_storage::{
-    codec, frame, segment, snapshot, ChunkOutcome, CommitNotifier, FsyncPolicy, ReplicationLog,
+    frame, segment, snapshot, ChunkOutcome, CommitNotifier, FsyncPolicy, ReplicationLog,
     SegmentedWal, StorageError,
 };
 use tibpre_wire::WireVersion;
@@ -308,7 +308,7 @@ impl EncryptedPhrStore {
             Ok(bytes) => {
                 let payload = frame::decode_single_frame(&bytes)
                     .ok_or(PhrError::CorruptedRecord("store meta file torn or corrupt"))?;
-                let mut r = codec::Reader::new(&payload);
+                let mut r = tibpre_wire::Reader::new(&payload);
                 if r.u32()? != META_VERSION {
                     return Err(PhrError::CorruptedRecord("unsupported store meta version"));
                 }
@@ -319,8 +319,8 @@ impl EncryptedPhrStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 let shards = durability.shard_count();
                 let mut payload = Vec::new();
-                codec::put_u32(&mut payload, META_VERSION);
-                codec::put_u32(&mut payload, shards as u32);
+                tibpre_wire::put_u32(&mut payload, META_VERSION);
+                tibpre_wire::put_u32(&mut payload, shards as u32);
                 let tmp = dir.join("store.meta.tmp");
                 // Meta determines the id→shard mapping forever, so it is
                 // made durable unconditionally (fsync file, rename, fsync

@@ -32,18 +32,10 @@ fn main() {
     );
     match run_load(&config) {
         Ok(report) => {
-            let sched = match &report.sched {
-                Some(s) => format!(
-                    ",\"sched\":{{\"batches\":{},\"batched_requests\":{},\"bypass\":{},\
-                     \"queue_depth\":{},\"queue_peak\":{},\"hist\":{:?}}}",
-                    s.batches, s.batched_requests, s.bypass, s.queue_depth, s.queue_peak, s.hist,
-                ),
-                None => String::new(),
-            };
             println!(
                 "{{\"ok\":{},\"denied\":{},\"errors\":{},\"reordered\":{},\"churn_ops\":{},\
                  \"elapsed_s\":{:.3},\"p50_us\":{},\"p99_us\":{},\"max_us\":{},\
-                 \"req_per_sec\":{:.1}{sched}}}",
+                 \"req_per_sec\":{:.1}}}",
                 report.ok,
                 report.denied,
                 report.errors,
@@ -55,13 +47,6 @@ fn main() {
                 report.max_us,
                 report.req_per_sec,
             );
-            if let Some(s) = &report.sched {
-                eprintln!(
-                    "tibpre-load: scheduler {} batches over {} requests \
-                     ({} bypassed), batch-size histogram {:?}, queue peak {}",
-                    s.batches, s.batched_requests, s.bypass, s.hist, s.queue_peak,
-                );
-            }
             if report.errors > 0 || report.reordered > 0 {
                 std::process::exit(1);
             }

@@ -100,28 +100,18 @@ fn run_admin(args: &[String]) -> Option<i32> {
             }
         });
     }
-    // `--status`: scheduler counters first (every role answers those), then
-    // the store-only replication view.
-    let sched = match conn.call(&Request::SchedStats) {
-        Ok(Response::SchedStats(s)) => format!(
-            "{{\"batches\":{},\"batched_requests\":{},\"bypass\":{},\
-             \"queue_depth\":{},\"queue_peak\":{},\"hist\":{:?}}}",
-            s.batches, s.batched_requests, s.bypass, s.queue_depth, s.queue_peak, s.hist,
-        ),
-        _ => "null".to_string(),
-    };
+    // `--status`: the replication view.
     Some(match conn.call(&Request::ReplicationStatus) {
         Ok(Response::ReplicaStatus {
             positions,
             writable,
         }) => {
-            println!("{{\"writable\":{writable},\"positions\":{positions:?},\"sched\":{sched}}}");
+            println!("{{\"writable\":{writable},\"positions\":{positions:?}}}");
             0
         }
-        // A kgc/proxy node has no replication view; its status is the
-        // scheduler counters alone.
+        // A kgc/proxy node has no replication view to report.
         Err(ClientError::Remote(_)) => {
-            println!("{{\"sched\":{sched}}}");
+            println!("{{}}");
             0
         }
         Ok(other) => {
@@ -153,14 +143,10 @@ fn print_usage() {
          \x20 --read-timeout-secs <n>      in-frame read limit (default 10)\n\
          \x20 --write-timeout-secs <n>     response write limit (default 10)\n\
          \x20 --max-frame <bytes>          request frame cap (default 8 MiB)\n\
-         \x20 --batch-max <n>              max requests per scheduler batch, proxy role\n\
-         \x20                              (default 16; 1 disables the scheduler)\n\
-         \x20 --batch-window-us <us>       linger for a partially filled batch under\n\
-         \x20                              load (default 200)\n\
          \n\
          admin verbs (connect to a running node and exit):\n\
-         \x20 --status <host:port>         print replication positions, write gate, and\n\
-         \x20                              batch-scheduler counters as JSON\n\
+         \x20 --status <host:port>         print a store's replication positions and write\n\
+         \x20                              gate as JSON\n\
          \x20 --promote <host:port>        open a replica's write gate (primary lost)"
     );
 }

@@ -40,16 +40,6 @@ pub struct NodeConfig {
     pub write_timeout: Duration,
     /// Maximum accepted frame size, both directions.
     pub max_frame: usize,
-    /// Maximum requests per scheduler batch (proxy role).  `1` disables
-    /// the cross-request batch scheduler entirely: every request is
-    /// handled inline on its connection thread, the pre-scheduler
-    /// behaviour.
-    pub batch_max: usize,
-    /// How long a *partially* filled batch may linger waiting for more
-    /// requests.  A request arriving at an idle scheduler always
-    /// dispatches immediately, so this bounds added latency under load
-    /// only.
-    pub batch_window: Duration,
 }
 
 impl NodeConfig {
@@ -71,8 +61,6 @@ impl NodeConfig {
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             max_frame: DEFAULT_MAX_FRAME,
-            batch_max: 16,
-            batch_window: Duration::from_micros(200),
         }
     }
 
@@ -144,21 +132,6 @@ impl NodeConfig {
                     config.max_frame = value
                         .parse()
                         .map_err(|_| format!("bad --max-frame {value}"))?;
-                }
-                "--batch-max" => {
-                    config.batch_max = value
-                        .parse()
-                        .map_err(|_| format!("bad --batch-max {value}"))?;
-                    if config.batch_max == 0 {
-                        return Err("--batch-max must be at least 1".to_string());
-                    }
-                }
-                "--batch-window-us" => {
-                    config.batch_window = Duration::from_micros(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad --batch-window-us {value}"))?,
-                    );
                 }
                 other => return Err(format!("unknown flag {other}")),
             }
@@ -246,33 +219,6 @@ mod tests {
         // A proxy without a store node is a misconfiguration at parse time.
         assert!(parse(&["--role", "proxy"]).unwrap_err().contains("--store"));
         parse(&["--role", "proxy", "--store", "127.0.0.1:7071"]).unwrap();
-    }
-
-    #[test]
-    fn scheduler_knobs_parse_and_validate() {
-        let config = parse(&[
-            "--role",
-            "proxy",
-            "--store",
-            "127.0.0.1:7071",
-            "--batch-max",
-            "64",
-            "--batch-window-us",
-            "500",
-        ])
-        .unwrap();
-        assert_eq!(config.batch_max, 64);
-        assert_eq!(config.batch_window, Duration::from_micros(500));
-        // batch_max 1 is the scheduler-off configuration, 0 is nonsense.
-        assert_eq!(
-            parse(&["--role", "kgc", "--batch-max", "1"])
-                .unwrap()
-                .batch_max,
-            1
-        );
-        assert!(parse(&["--role", "kgc", "--batch-max", "0"])
-            .unwrap_err()
-            .contains("--batch-max"));
     }
 
     #[test]

@@ -21,10 +21,8 @@
 
 pub mod config;
 pub mod load;
-pub mod metrics;
 pub mod node;
 pub mod replica;
-mod scheduler;
 pub mod service;
 pub mod signal;
 

@@ -14,8 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tibpre_client::{
-    params_for_level, ClientConfig, ClientError, KgcClient, ProxyClient, SchedStatsReport,
-    StoreClient,
+    params_for_level, ClientConfig, ClientError, KgcClient, ProxyClient, StoreClient,
 };
 use tibpre_core::{Delegator, ReEncryptionKey};
 use tibpre_ibe::Identity;
@@ -56,9 +55,9 @@ pub struct LoadConfig {
     pub seed: u64,
     /// Pipeline depth per client connection: each client keeps up to this
     /// many disclosures in flight on its one socket (all requests written
-    /// before the first response is read), which is what feeds the proxy's
-    /// cross-request batch scheduler.  `1` is classic lockstep
-    /// request/response.  Ignored by replica-read traffic.
+    /// before the first response is read), saving the round trips between
+    /// them.  `1` is classic lockstep request/response.  Ignored by
+    /// replica-read traffic.
     pub pipeline: usize,
     /// Read-replica store addresses.  When non-empty the measurement
     /// traffic becomes record *reads* round-robined across these replicas
@@ -117,9 +116,6 @@ pub struct LoadReport {
     /// Completed requests per second (ok + denied; a denial is a served
     /// policy answer, not a failure).
     pub req_per_sec: f64,
-    /// The proxy's batch-scheduler counters, sampled after the measurement
-    /// phase (best effort; `None` if the stats call failed).
-    pub sched: Option<SchedStatsReport>,
 }
 
 /// Load-generator failures.
@@ -453,8 +449,6 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadReport, LoadError> {
         p99_us: percentile(0.99),
         max_us: latencies.last().copied().unwrap_or(0),
         req_per_sec: (ok + denied) as f64 / elapsed.as_secs_f64().max(1e-9),
-        // Sampled after the measurement so the counters cover the whole run.
-        sched: proxy.sched_stats().ok(),
     })
 }
 

@@ -1,41 +1,32 @@
 //! The TCP node: bind, accept, dispatch, drain.
 //!
-//! One hand-rolled blocking listener per node.  Each accepted connection
-//! gets a *reader* thread running a frame-decode loop and a paired *writer*
-//! thread that frames responses back in request order (coalescing
-//! consecutive ready responses into one vectored write).  A connection
-//! waits for the *first byte* of a frame in short timeout slices (so it
-//! notices shutdown while idle), then switches to the full read timeout for
-//! the remainder — a slow-but-live peer mid-frame is never cut off by the
-//! idle poll, and a pipelined peer whose next frame is already buffered
-//! never re-enters the poll at all.
-//!
-//! On a proxy booted with `--batch-max > 1`, pairing-heavy requests
-//! (`Disclose` / `DiscloseCategory`) are not handled on the connection
-//! thread: readers submit them to the batch scheduler, which drains up
-//! to `batch_max` requests per tick across *all* connections and executes
-//! them as one engine batch.  Cheap requests bypass the queue and are
-//! answered inline.  Per-connection response order is preserved either way,
-//! because each reader enqueues its response slot with the writer before
-//! submitting.
+//! One hand-rolled blocking listener per node, and one thread per accepted
+//! connection running a single loop: read a frame, hand the request to
+//! [`RoleService::handle`], write the response.  Pipelined requests are
+//! answered in order because they are handled in order; the frames a
+//! pipelining peer writes ahead simply wait in the socket and the
+//! connection's `BufReader`, and TCP flow control bounds how far ahead it
+//! can get.  A connection waits for the *first byte* of a frame in short
+//! timeout slices (so it notices shutdown while idle), then switches to the
+//! full read timeout for the remainder — a slow-but-live peer mid-frame is
+//! never cut off by the idle poll, and a pipelined peer whose next frame is
+//! already buffered never re-enters the poll at all.
 //!
 //! Shutdown — via [`crate::signal`] or a `Shutdown` frame — stops the
-//! accept loop, lets every in-flight request finish (including entries
-//! still queued in the scheduler: they are answered, not dropped), joins
-//! the connection threads, `sync()`s the store, and releases the advisory
-//! directory lock by dropping it.
+//! accept loop and lets every connection finish the request it is
+//! handling; frames read after that are answered `ShuttingDown`.  The node
+//! then joins the connection threads, `sync()`s the store, and releases the
+//! advisory directory lock by dropping it.
 
 use crate::config::NodeConfig;
-use crate::metrics;
 use crate::replica::{self, ReplicaControl};
-use crate::scheduler::{BatchEntry, ResponseSlot, Scheduler};
 use crate::service::RoleService;
 use crate::signal;
 use rand::rngs::OsRng;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tibpre_client::{params_for_level, ClientConfig, NodeRole, RemoteError, Request, Response};
@@ -44,7 +35,7 @@ use tibpre_ibe::Kgc;
 use tibpre_pairing::DecodeCtx;
 use tibpre_phr::{Durability, EncryptedPhrStore, ProxyService};
 use tibpre_storage::ChunkOutcome;
-use tibpre_wire::{read_frame, write_frame, write_frames, FrameError, WireDecode, WireEncode};
+use tibpre_wire::{read_frame, write_frame, FrameError, WireDecode, WireEncode};
 
 /// How long an idle connection sleeps between shutdown-flag checks while
 /// waiting for the first byte of the next frame.
@@ -57,17 +48,6 @@ const IDLE_POLL: Duration = Duration::from_millis(100);
 /// is enough for a flaky path to sever the new connection before it ever
 /// authenticates its first frame.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
-/// Per-connection bound on responses in flight between reader and writer.
-/// A pipelined peer deeper than this blocks its reader (backpressure)
-/// instead of growing server memory without limit.
-const PIPELINE_BACKLOG: usize = 256;
-
-/// Caps one coalesced vectored response write (frame count and payload
-/// bytes) so a burst of ready responses cannot monopolize the socket
-/// buffer in a single syscall.
-const WRITE_COALESCE_MAX: usize = 64;
-const WRITE_COALESCE_BYTES: usize = 1024 * 1024;
 
 /// Errors booting a node.
 #[derive(Debug)]
@@ -115,10 +95,6 @@ struct Shared {
     config: NodeConfig,
     ctx: DecodeCtx,
     shutdown: AtomicBool,
-    /// The cross-request batch scheduler (proxy role with `batch_max > 1`).
-    scheduler: Option<Arc<Scheduler>>,
-    /// Joined by the accept loop on drain, after the scheduler stops.
-    sched_thread: parking_lot::Mutex<Option<JoinHandle<()>>>,
     /// Joined by the accept loop on drain (replica nodes only).
     tail_thread: parking_lot::Mutex<Option<JoinHandle<()>>>,
 }
@@ -261,30 +237,13 @@ pub fn start(config: NodeConfig) -> Result<NodeHandle, ServerError> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
-    // The scheduler only pays off where batches reach the pairing-heavy
-    // engine paths — the proxy role.  `--batch-max 1` turns it off.
-    let scheduler = (config.role == NodeRole::Proxy && config.batch_max > 1)
-        .then(|| Scheduler::new(config.batch_max, config.batch_window));
-
     let shared = Arc::new(Shared {
         service,
         config,
         ctx: DecodeCtx::from(&params),
         shutdown: AtomicBool::new(false),
-        scheduler,
-        sched_thread: parking_lot::Mutex::new(None),
         tail_thread: parking_lot::Mutex::new(None),
     });
-
-    if let Some(scheduler) = shared.scheduler.as_ref().map(Arc::clone) {
-        let sched_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("tibpre-sched".to_string())
-            .spawn(move || {
-                scheduler.run(|requests| sched_shared.service.handle_batch(requests));
-            })?;
-        *shared.sched_thread.lock() = Some(handle);
-    }
 
     if let Some((stream, store, control, primary)) = replica_boot {
         let tail_ctx = DecodeCtx::from(&params);
@@ -334,18 +293,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
     drop(listener);
     // Drain: every connection thread observes the shutdown flag within one
-    // idle-poll slice (or finishes its in-flight request) and exits.  The
-    // scheduler keeps executing while they drain — queued entries are
-    // answered, never dropped — and is stopped only once no reader can
-    // submit any more.
+    // idle-poll slice (or finishes its in-flight request) and exits.
     for handle in connections {
         let _ = handle.join();
-    }
-    if let Some(scheduler) = &shared.scheduler {
-        scheduler.stop();
-    }
-    if let Some(sched) = shared.sched_thread.lock().take() {
-        let _ = sched.join();
     }
     if let Some(control) = shared.service.replica() {
         control.request_stop();
@@ -394,52 +344,6 @@ fn respond(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
     stream.write_all(&out)
 }
 
-/// The writer stage: consumes response slots strictly in enqueue (= request)
-/// order, blocking on the head slot and coalescing every consecutive
-/// already-filled slot behind it into one vectored multi-frame write.
-fn writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<Arc<ResponseSlot>>) {
-    let mut pending: Option<Arc<ResponseSlot>> = None;
-    loop {
-        let head = match pending.take() {
-            Some(slot) => slot,
-            None => match rx.recv() {
-                Ok(slot) => slot,
-                Err(_) => return, // reader gone and channel drained
-            },
-        };
-        let mut payloads = vec![head.wait_take().to_wire_bytes()];
-        let mut bytes = payloads[0].len();
-        while payloads.len() < WRITE_COALESCE_MAX && bytes < WRITE_COALESCE_BYTES {
-            match rx.try_recv() {
-                Ok(slot) => match slot.try_take() {
-                    Some(response) => {
-                        let payload = response.to_wire_bytes();
-                        bytes += payload.len();
-                        payloads.push(payload);
-                    }
-                    None => {
-                        // Not ready yet: it becomes the next head so order
-                        // is preserved.
-                        pending = Some(slot);
-                        break;
-                    }
-                },
-                Err(_) => break,
-            }
-        }
-        // Outbound frames are uncapped, same as `respond`.
-        if write_frames(&mut stream, &payloads, usize::MAX).is_err() {
-            return; // the reader notices via its closed channel sends
-        }
-    }
-}
-
-/// Enqueues an already-computed response with the writer.  `false` means
-/// the writer is gone (its socket died) and the reader should close too.
-fn enqueue_response(tx: &mpsc::SyncSender<Arc<ResponseSlot>>, response: Response) -> bool {
-    tx.send(ResponseSlot::filled(response)).is_ok()
-}
-
 /// Reads one frame, stitching a pre-consumed lead byte back on when the
 /// idle poll swallowed it.
 fn read_frame_with_lead(
@@ -457,81 +361,49 @@ fn read_frame_with_lead(
     }
 }
 
-fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
+/// The connection loop: read a frame, handle it, write the response, in
+/// request order.  A `SubscribeReplication` request turns the connection
+/// into a server-push replication stream for the rest of its life.
+fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_write_timeout(Some(shared.config.write_timeout))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let writer_stream = stream.try_clone()?;
-    // A bounded channel is the pipelining backpressure: a peer more than
-    // PIPELINE_BACKLOG requests deep blocks its own reader here.
-    let (tx, rx) = mpsc::sync_channel::<Arc<ResponseSlot>>(PIPELINE_BACKLOG);
-    let writer = std::thread::Builder::new()
-        .name("tibpre-writer".to_string())
-        .spawn(move || writer_loop(writer_stream, rx))?;
-
-    let outcome = read_loop(&mut reader, &stream, &shared, &tx);
-    // Closing the channel lets the writer finish flushing every response
-    // still owed (slots are always eventually filled), then exit.
-    drop(tx);
-    let _ = writer.join();
-    match outcome {
-        // The connection leaves the request→response loop and becomes a
-        // server-push replication stream until the peer disconnects or the
-        // node drains.  The writer has already drained and exited, so the
-        // stream is exclusively ours again.
-        Ok(Some(applied)) => serve_replication(stream, &shared, applied),
-        Ok(None) => Ok(()),
-        Err(e) => Err(e),
-    }
-}
-
-/// The reader stage: decodes frames, answers cheap requests inline, and
-/// submits pairing-heavy requests to the scheduler — always enqueueing the
-/// response slot with the writer first, which is what preserves
-/// per-connection response order.  Returns `Ok(Some(applied))` to hand the
-/// connection over to replication streaming.
-fn read_loop(
-    reader: &mut BufReader<TcpStream>,
-    stream: &TcpStream,
-    shared: &Shared,
-    tx: &mpsc::SyncSender<Arc<ResponseSlot>>,
-) -> io::Result<Option<Vec<u64>>> {
     let max_frame = shared.config.max_frame;
     loop {
         // Pipelined peers: bytes already buffered mean the next frame has
         // begun — skip the idle poll entirely instead of paying up to one
         // poll slice of latency per queued frame.
         let lead = if reader.buffer().is_empty() {
-            match wait_first_byte(stream, shared)? {
+            match wait_first_byte(&stream, &shared)? {
                 Some(byte) => {
                     // A frame has started: give the peer the full read
                     // timeout for the rest of it.
                     stream.set_read_timeout(Some(shared.config.read_timeout))?;
                     Some(byte)
                 }
-                None => return Ok(None),
+                None => return Ok(()),
             }
         } else {
             None
         };
 
-        let payload = match read_frame_with_lead(reader, lead, max_frame) {
+        let payload = match read_frame_with_lead(&mut reader, lead, max_frame) {
             Ok(Some(payload)) => payload,
             // EOF at (or inside) the prefix: the peer hung up — close.
-            Ok(None) => return Ok(None),
+            Ok(None) => return Ok(()),
             Err(FrameError::Oversized { len, max }) => {
                 // The length prefix itself was readable, so the connection
                 // is not desynchronized yet — but the payload behind it is
                 // unread.  Report, then close.
-                let _ = enqueue_response(
-                    tx,
-                    Response::Error(RemoteError::BadRequest(format!(
+                let _ = respond(
+                    &mut stream,
+                    &Response::Error(RemoteError::BadRequest(format!(
                         "frame of {len} bytes exceeds the {max} byte cap"
                     ))),
                 );
-                return Ok(None);
+                return Ok(());
             }
-            Err(FrameError::Io(_)) => return Ok(None),
+            Err(FrameError::Io(_)) => return Ok(()),
         };
 
         let request = match Request::from_wire_bytes(&payload, &shared.ctx) {
@@ -540,64 +412,33 @@ fn read_loop(
                 // Undecodable payload: the stream itself is still framed,
                 // but trusting a peer that sends garbage is not worth it —
                 // answer once, then close.
-                let _ = enqueue_response(
-                    tx,
-                    Response::Error(RemoteError::BadRequest(format!("undecodable request: {e}"))),
+                let _ = respond(
+                    &mut stream,
+                    &Response::Error(RemoteError::BadRequest(format!("undecodable request: {e}"))),
                 );
-                return Ok(None);
+                return Ok(());
             }
         };
 
-        let alive = match request {
-            Request::Ping => enqueue_response(
-                tx,
-                Response::Pong {
-                    role: shared.service.role(),
-                    level: shared.config.level_name().to_string(),
-                },
-            ),
-            Request::Shutdown => {
-                let _ = enqueue_response(tx, Response::ShuttingDown);
-                shared.shutdown.store(true, Ordering::SeqCst);
-                return Ok(None);
-            }
-            Request::SubscribeReplication { applied } => return Ok(Some(applied)),
-            _ if shared.shutting_down() => {
-                enqueue_response(tx, Response::Error(RemoteError::ShuttingDown))
-            }
-            other => match &shared.scheduler {
-                Some(scheduler)
-                    if matches!(
-                        other,
-                        Request::Disclose { .. } | Request::DiscloseCategory { .. }
-                    ) =>
-                {
-                    // Slot goes to the writer BEFORE the scheduler can fill
-                    // it: writer order == request order.
-                    let slot = ResponseSlot::empty();
-                    if tx.send(Arc::clone(&slot)).is_err() {
-                        return Ok(None);
-                    }
-                    if let Err(entry) = scheduler.submit(BatchEntry {
-                        request: other,
-                        slot,
-                    }) {
-                        // Lost the race against scheduler stop: the slot is
-                        // already with the writer, so answer it inline.
-                        entry.slot.fill(shared.service.handle(entry.request));
-                    }
-                    true
-                }
-                Some(_) => {
-                    metrics::note_bypass();
-                    enqueue_response(tx, shared.service.handle(other))
-                }
-                None => enqueue_response(tx, shared.service.handle(other)),
+        let response = match request {
+            Request::Ping => Response::Pong {
+                role: shared.service.role(),
+                level: shared.config.level_name().to_string(),
             },
+            Request::Shutdown => {
+                // Flag first: once the peer reads the acknowledgement, every
+                // request read after it is refused.
+                shared.shutdown.store(true, Ordering::SeqCst);
+                let _ = respond(&mut stream, &Response::ShuttingDown);
+                return Ok(());
+            }
+            Request::SubscribeReplication { applied } => {
+                return serve_replication(stream, &shared, applied)
+            }
+            _ if shared.shutting_down() => Response::Error(RemoteError::ShuttingDown),
+            other => shared.service.handle(other),
         };
-        if !alive {
-            return Ok(None);
-        }
+        respond(&mut stream, &response)?;
     }
 }
 

@@ -5,15 +5,16 @@
 //! [`Kgc`] / [`EncryptedPhrStore`] / [`ProxyService`] call it names, and
 //! maps every failure — including a panic in the handler — onto a
 //! [`Response::Error`], so a connection thread can never poison the node.
+//! Each request is handled on its own: the connection thread that read it
+//! calls [`RoleService::handle`] and writes back what it returns.
 
-use crate::metrics;
 use crate::replica::ReplicaControl;
 use parking_lot::RwLock;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use tibpre_client::{NodeRole, RemoteError, Request, Response};
-use tibpre_ibe::{Identity, Kgc};
-use tibpre_phr::{EncryptedPhrStore, ProxyService, RecordId};
+use tibpre_client::{NodeRole, RemoteError, Request, Response, SchedStatsReport};
+use tibpre_ibe::Kgc;
+use tibpre_phr::{EncryptedPhrStore, ProxyService};
 
 /// The role-specific state behind a node's listener.
 pub enum RoleService {
@@ -70,7 +71,8 @@ impl RoleService {
     }
 
     /// Handles one request.  Never panics: a panicking handler is reported
-    /// as [`RemoteError::Internal`] and the connection stays usable.
+    /// as [`RemoteError::Internal`] for that request alone, and the
+    /// connection stays usable.
     pub fn handle(&self, request: Request) -> Response {
         let role = self.role();
         catch_unwind(AssertUnwindSafe(|| self.dispatch(request))).unwrap_or_else(|_| {
@@ -81,80 +83,11 @@ impl RoleService {
         })
     }
 
-    /// Handles a scheduler batch of independent requests: exactly one
-    /// response per request, in request order.  On a proxy, `Disclose`
-    /// requests collapse into one
-    /// [`ProxyService::disclose_batch`] call (shared key lookups, batched
-    /// pairing work, group-committed audit writes); everything else
-    /// dispatches per item.  Never panics, like [`Self::handle`].
-    pub fn handle_batch(&self, requests: Vec<Request>) -> Vec<Response> {
-        let role = self.role();
-        let len = requests.len();
-        catch_unwind(AssertUnwindSafe(|| self.dispatch_batch(requests))).unwrap_or_else(|_| {
-            vec![
-                Response::Error(RemoteError::Internal(format!(
-                    "batch handler panicked on the {} node",
-                    role.name()
-                )));
-                len
-            ]
-        })
-    }
-
-    fn dispatch_batch(&self, requests: Vec<Request>) -> Vec<Response> {
-        let RoleService::Proxy(proxy) = self else {
-            return requests.into_iter().map(|r| self.dispatch(r)).collect();
-        };
-        /// Where each batch position gets its response from.
-        enum Plan {
-            /// The n-th entry of the collapsed `disclose_batch` call.
-            Disclose,
-            /// Dispatched individually.
-            Inline(Request),
-        }
-        let mut items: Vec<(Identity, RecordId, Identity)> = Vec::new();
-        let mut plan: Vec<Plan> = Vec::with_capacity(requests.len());
-        for request in requests {
-            match request {
-                Request::Disclose {
-                    patient,
-                    id,
-                    requester,
-                } => {
-                    items.push((patient, id, requester));
-                    plan.push(Plan::Disclose);
-                }
-                other => plan.push(Plan::Inline(other)),
-            }
-        }
-        // The read guard spans only the collapsed call: inline entries may
-        // need the write side (and dispatch takes its own locks).
-        let mut disclosed = if items.is_empty() {
-            Vec::new()
-        } else {
-            proxy.read().disclose_batch(&items)
-        }
-        .into_iter();
-        plan.into_iter()
-            .map(|entry| match entry {
-                Plan::Disclose => match disclosed.next() {
-                    Some(Ok(bundle)) => Response::Bundle(Box::new(bundle)),
-                    Some(Err(e)) => Response::Error(RemoteError::from_phr(&e)),
-                    None => Response::Error(RemoteError::Internal(
-                        "disclose batch returned too few results".to_string(),
-                    )),
-                },
-                Plan::Inline(request) => self.dispatch(request),
-            })
-            .collect()
-    }
-
     fn dispatch(&self, request: Request) -> Response {
-        // Scheduler counters are answered by every role (a node without a
-        // scheduler reports zeros), so the request is handled before the
-        // role match.
+        // Every role answers `SchedStats`.  No node batches requests across
+        // connections, so the report is all zeros.
         if matches!(request, Request::SchedStats) {
-            return Response::SchedStats(metrics::sched_snapshot());
+            return Response::SchedStats(SchedStatsReport::default());
         }
         match self {
             RoleService::Kgc(kgc) => Self::dispatch_kgc(kgc, request),

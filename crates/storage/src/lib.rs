@@ -17,7 +17,6 @@
 //!   memory maps,
 //! * [`mmap`] — a minimal read-only memory-map shim (the offline build has
 //!   no `memmap2`), so `TBS2` opens are page-fault-driven,
-//! * [`codec`] — the bounds-checked field codec used inside payloads,
 //! * [`crc`] — CRC-32/ISO-HDLC,
 //! * [`TempDir`] — a dependency-free temporary directory for the crash and
 //!   recovery test harnesses (this workspace is built offline and has no
@@ -34,7 +33,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod crc;
 pub mod frame;
 pub mod mmap;

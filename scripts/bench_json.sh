@@ -17,6 +17,7 @@ cd "$(dirname "$0")/.."
 benches=(
   e12_resident
   e13_server
+  e14_replication
   e15_multipairing
   e16_coalesce
 )

@@ -30,6 +30,8 @@ struct ProxyState {
     downstream_budget: AtomicU64,
     /// Cuts fired so far — lets a test assert the fault actually happened.
     cuts: AtomicU64,
+    /// Client→server bytes forwarded so far, across connections.
+    upstream: AtomicU64,
     /// Live stream clones, so `drop_connections` can sever them all.
     conns: Mutex<Vec<TcpStream>>,
 }
@@ -61,6 +63,7 @@ impl FaultProxy {
             paused: AtomicBool::new(false),
             downstream_budget: AtomicU64::new(UNLIMITED),
             cuts: AtomicU64::new(0),
+            upstream: AtomicU64::new(0),
             conns: Mutex::new(Vec::new()),
         });
         let accept_state = Arc::clone(&state);
@@ -89,6 +92,13 @@ impl FaultProxy {
     /// How many cuts have fired so far.
     pub fn cuts(&self) -> u64 {
         self.state.cuts.load(Ordering::SeqCst)
+    }
+
+    /// How many client→server bytes the proxy has forwarded so far.  A
+    /// rise proves the client side has sent a request through, even while
+    /// [`Self::pause`] holds back the answer.
+    pub fn upstream_bytes(&self) -> u64 {
+        self.state.upstream.load(Ordering::SeqCst)
     }
 
     /// Severs every live connection right now (pass-through resumes for
@@ -200,6 +210,9 @@ fn pump(mut from: TcpStream, mut to: TcpStream, state: Arc<ProxyState>, directio
                 }
                 if allowed > 0 && to.write_all(&buf[..allowed]).is_err() {
                     break;
+                }
+                if direction == Direction::Upstream {
+                    state.upstream.fetch_add(allowed as u64, Ordering::SeqCst);
                 }
                 if cut {
                     break;

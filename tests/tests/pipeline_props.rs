@@ -1,13 +1,13 @@
 //! Properties of the pipelined node layer: per-connection response order,
-//! byte-identity against a sequential oracle, fault tolerance with the
-//! batch scheduler enabled, the buffered-frame fast path, and graceful
-//! drain of a non-empty scheduler queue.
+//! byte-identity against a sequential oracle, fault tolerance under
+//! pipelined traffic, the buffered-frame fast path, and graceful shutdown
+//! in the middle of a pipeline.
 //!
 //! All traffic runs through real TCP against in-process nodes at the toy
 //! level.  Disclosure is deterministic (no proxy-side randomness), so the
 //! same request against the same installed re-encryption key must produce
-//! byte-identical response frames no matter how requests are pipelined,
-//! interleaved across connections, or batched by the scheduler.
+//! byte-identical response frames no matter how requests are pipelined or
+//! interleaved across connections.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,8 +17,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tibpre_client::{
-    params_for_level, ClientConfig, Connection, KgcClient, NodeRole, ProxyClient, Request,
-    Response, StoreClient,
+    params_for_level, ClientConfig, Connection, KgcClient, NodeRole, ProxyClient, RemoteError,
+    Request, Response, StoreClient,
 };
 use tibpre_core::Delegator;
 use tibpre_ibe::Identity;
@@ -40,21 +40,15 @@ struct Fixture {
 }
 
 impl Fixture {
-    /// Boots the node set (scheduler sized by `batch_max`) and uploads
-    /// `records_per_patient` lab records for each of `patients` patients,
-    /// all granted to one provider.  `store_via` reroutes the proxy's
-    /// record reads (for fault injection between proxy and store).
-    fn boot(
-        patients: usize,
-        records_per_patient: usize,
-        batch_max: usize,
-        store_via: Option<String>,
-    ) -> Self {
+    /// Boots the node set and uploads `records_per_patient` lab records
+    /// for each of `patients` patients, all granted to one provider.
+    /// `store_via` reroutes the proxy's record reads (for fault injection
+    /// between proxy and store).
+    fn boot(patients: usize, records_per_patient: usize, store_via: Option<String>) -> Self {
         let kgc = node::start(NodeConfig::new(NodeRole::Kgc)).expect("kgc node");
         let store = node::start(NodeConfig::new(NodeRole::Store)).expect("store node");
         let mut proxy_config = NodeConfig::new(NodeRole::Proxy);
         proxy_config.store_addr = Some(store_via.unwrap_or_else(|| store.addr().to_string()));
-        proxy_config.batch_max = batch_max;
         let proxy = node::start(proxy_config).expect("proxy node");
 
         let params = params_for_level(SecurityLevel::Toy);
@@ -115,9 +109,9 @@ impl Fixture {
     }
 
     /// Maps one opcode byte onto a request: mostly granted disclosures
-    /// (scheduler path), some denied ones (per-item error path inside a
-    /// batch), some cheap bypass requests (inline path) — all three must
-    /// interleave without disturbing per-connection order.
+    /// (the pairing path), some denied ones (the error path), some cheap
+    /// key-table reads — all three must interleave without disturbing
+    /// per-connection order.
     fn request_for(&self, op: u8, pick: u8) -> Request {
         let p = pick as usize % self.patients.len();
         let ids = &self.records[p];
@@ -158,7 +152,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// N connections pipeline randomized request mixes concurrently through
-    /// one scheduler-enabled proxy, each flushing random-sized chunks.
+    /// one proxy, each flushing random-sized chunks.
     /// Every connection's responses come back in its own request order and
     /// byte-identical to the sequential oracle.
     #[test]
@@ -169,7 +163,7 @@ proptest! {
             2..4,
         ),
     ) {
-        let fixture = Fixture::boot(3, 2, 4, None);
+        let fixture = Fixture::boot(3, 2, None);
         let sequences: Vec<Vec<Request>> = scripts
             .iter()
             .map(|script| {
@@ -244,7 +238,7 @@ proptest! {
 /// arrive there.
 #[test]
 fn buffered_back_to_back_frames_skip_the_idle_poll() {
-    let fixture = Fixture::boot(1, 1, 4, None);
+    let fixture = Fixture::boot(1, 1, None);
 
     // Hand-frame 16 pings into a single write so they arrive (and get
     // buffered) together.
@@ -279,12 +273,12 @@ fn buffered_back_to_back_frames_skip_the_idle_poll() {
     fixture.shut_down();
 }
 
-/// The fault suite with the scheduler enabled: a torn frame and a client
-/// that vanishes mid-pipeline must leave the node able to serve the next
+/// The fault suite under pipelined traffic: a torn frame and a client that
+/// vanishes mid-pipeline must leave the node able to serve the next
 /// connection correctly.
 #[test]
-fn torn_frames_and_vanishing_clients_leave_the_scheduler_node_healthy() {
-    let fixture = Fixture::boot(2, 2, 4, None);
+fn torn_frames_and_vanishing_pipelined_clients_leave_the_node_healthy() {
+    let fixture = Fixture::boot(2, 2, None);
 
     // Torn frame: a length prefix promising 200 bytes, then only 10, then
     // a hard disconnect mid-payload.
@@ -294,8 +288,8 @@ fn torn_frames_and_vanishing_clients_leave_the_scheduler_node_healthy() {
         stream.write_all(&[0xAB; 10]).unwrap();
     }
 
-    // Vanishing client: several disclosures pipelined into the scheduler,
-    // connection dropped before reading any response.
+    // Vanishing client: several disclosures pipelined at once, connection
+    // dropped before reading any response.
     {
         let mut conn = fixture.proxy_conn();
         for _ in 0..4 {
@@ -325,20 +319,20 @@ fn torn_frames_and_vanishing_clients_leave_the_scheduler_node_healthy() {
     fixture.shut_down();
 }
 
-/// Graceful drain with a non-empty scheduler queue: requests stuck behind
-/// a stalled store are still answered — in order, with real bundles — when
-/// the node is told to shut down mid-backlog.
+/// Graceful shutdown in the middle of a pipeline: the request being
+/// handled when shutdown arrives is answered with its real bundle, and
+/// every request pipelined behind it gets exactly one answer, in order —
+/// its bundle or `ShuttingDown` — before the connection closes and the node
+/// exits.
 #[test]
-fn shutdown_answers_queued_scheduler_entries_before_closing() {
+fn shutdown_mid_pipeline_answers_every_request_in_order() {
     // The proxy reads records through a fault proxy so the store path can
-    // be frozen; batch_max 2 keeps most of an 8-deep pipeline queued while
-    // the first batch is stuck inside the store call.
+    // be frozen while the first of 8 pipelined disclosures is in flight.
     let kgc = node::start(NodeConfig::new(NodeRole::Kgc)).expect("kgc node");
     let store = node::start(NodeConfig::new(NodeRole::Store)).expect("store node");
     let fault = FaultProxy::start(store.addr().to_string()).expect("fault proxy");
     let mut proxy_config = NodeConfig::new(NodeRole::Proxy);
     proxy_config.store_addr = Some(fault.addr().to_string());
-    proxy_config.batch_max = 2;
     let proxy = node::start(proxy_config).expect("proxy node");
 
     let params = params_for_level(SecurityLevel::Toy);
@@ -369,13 +363,15 @@ fn shutdown_answers_queued_scheduler_entries_before_closing() {
         .make_reencryption_key(&provider, &domain, &category.type_tag(), &mut rng)
         .unwrap();
     proxy_client.install_key(grant).unwrap();
-    // Warm the proxy→store path once so the backlog below is pure queue.
+    // Warm the proxy→store path once so the pipeline below only waits on
+    // the frozen store.
     let warm = proxy_client.disclose(&patient, ids[0], &provider).unwrap();
     assert_eq!(warm.id, ids[0]);
 
     // Freeze store→proxy traffic, then pipeline 8 disclosures: the first
-    // scheduler batch blocks inside its record fetch and the rest queue.
+    // blocks inside its record fetch, the rest wait unread behind it.
     fault.pause();
+    let sent_before = fault.upstream_bytes();
     let mut pipelined = Connection::connect(proxy.addr(), &params, &config).unwrap();
     for &id in &ids {
         pipelined
@@ -388,35 +384,36 @@ fn shutdown_answers_queued_scheduler_entries_before_closing() {
     }
     pipelined.flush().unwrap();
 
-    // Give the reader time to submit the backlog, confirm the scheduler
-    // actually has queued entries (counters are process-global, so this is
-    // a best-effort observation, not the correctness assertion), then ask
-    // the node to shut down while they are still undispatched.
-    let observe_until = Instant::now() + Duration::from_secs(2);
-    let mut saw_backlog = false;
-    while Instant::now() < observe_until {
-        if let Ok(stats) = proxy_client.sched_stats() {
-            if stats.queue_depth >= 1 {
-                saw_backlog = true;
-                break;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(10));
+    // The proxy has sent the first record fetch to the store, so the first
+    // disclosure is being handled.  Only then ask the node to shut down.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while fault.upstream_bytes() == sent_before {
+        assert!(
+            Instant::now() < deadline,
+            "the first disclosure never reached the store"
+        );
+        std::thread::sleep(Duration::from_millis(5));
     }
     let mut admin = Connection::connect(proxy.addr(), &params, &config).unwrap();
     admin.shutdown().expect("shutdown frame");
     fault.resume();
 
-    // Every queued disclosure is answered — in request order, with the
-    // real bundle, not an error — before the connection closes.
-    for &want in &ids {
-        match pipelined.receive().expect("drained response") {
+    // The request in flight gets its real bundle.
+    match pipelined.receive().expect("in-flight response") {
+        Response::Bundle(bundle) => assert_eq!(bundle.id, ids[0]),
+        other => panic!("the in-flight disclosure was answered with {other:?}"),
+    }
+    // Every later request gets exactly one answer, in order.
+    for &want in &ids[1..] {
+        match pipelined.receive().expect("pipelined response") {
             Response::Bundle(bundle) => assert_eq!(bundle.id, want),
-            other => panic!("queued entry answered with {other:?}"),
+            Response::Error(RemoteError::ShuttingDown) => {}
+            other => panic!("pipelined disclosure answered with {other:?}"),
         }
     }
+    // Nothing more is owed: the node closes the connection and exits.
+    assert!(pipelined.receive().is_err(), "an extra response arrived");
     proxy.wait();
-    let _ = saw_backlog; // not load-bearing; see comment above
 
     // The store and kgc are still healthy; stop them cleanly.
     for handle in [store, kgc] {

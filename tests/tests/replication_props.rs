@@ -480,8 +480,11 @@ fn replication_never_resurrects_a_revoked_grant_or_deleted_record() {
     primary.delete(r1, &patients()[0].0).unwrap();
     let primary_audit = primary.audit_snapshot().unwrap();
 
-    // Replicate through the fault proxy with repeated tiny cuts, and
-    // sample the replica's state at every step of its catch-up.
+    // Replicate through the fault proxy with a run of tiny cuts, and sample
+    // the replica's state at every step of its catch-up.  A 61-byte budget
+    // is smaller than the 16-shard subscription handshake, so no reconnect
+    // completes while a cut is armed: at most MAX_CUTS fire, one at a time,
+    // and then the network heals.
     let fault = FaultProxy::start(primary_node.addr().to_string()).unwrap();
     let replica_node = boot_replica(&fault.addr().to_string());
     let mut replica = connect(&replica_node);
@@ -506,10 +509,21 @@ fn replication_never_resurrects_a_revoked_grant_or_deleted_record() {
     };
     let primary_policy = policy_order(&primary_audit);
 
+    const MAX_CUTS: u64 = 8;
+    // Liveness once the network has healed: the reconnect ladder's
+    // steady-state rung is 250 ms, so this leaves a wide margin.
+    const CATCH_UP_AFTER_CUTS: Duration = Duration::from_secs(20);
     let deadline = Instant::now() + Duration::from_secs(60);
+    let mut armed = 0;
+    let mut healed_at: Option<Instant> = None;
     let mut saw_deleted = false;
     loop {
-        fault.cut_downstream_after(61);
+        // Re-arm only once the previous cut has fired, so every armed cut
+        // counts and the total stays at MAX_CUTS.
+        if armed < MAX_CUTS && fault.cuts() == armed {
+            fault.cut_downstream_after(61);
+            armed += 1;
+        }
         let sample = replica.audit_snapshot().unwrap();
         // The replica never invents events.
         for event in &sample {
@@ -555,6 +569,14 @@ fn replication_never_resurrects_a_revoked_grant_or_deleted_record() {
             break;
         }
         assert!(Instant::now() < deadline, "replica never caught up");
+        if fault.cuts() >= MAX_CUTS {
+            let healed = *healed_at.get_or_insert_with(Instant::now);
+            assert!(
+                healed.elapsed() < CATCH_UP_AFTER_CUTS,
+                "replica did not catch up within {CATCH_UP_AFTER_CUTS:?} of the last cut: \
+                 applied {have:?}, committed {want:?}"
+            );
+        }
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(saw_deleted, "the delete never reached the replica");
